@@ -1,38 +1,108 @@
 """Distributed full-map directory.
 
 Each block has a home tile (address-interleaved); the home's directory
-slice records the full sharing state: the set of caches with a valid copy,
+slice records the full sharing state: an N-bit presence mask of the
+caches with a valid copy (bit *i* set means core *i* holds the block),
 which of them (if any) owns the block in M/E, and which holds the MESIF
 Forward state.  Because caches notify the directory on evictions, the
 directory view is exact — which the paper relies on for detecting whether
 a predicted target set was sufficient.
+
+Sharer sets leave the directory as frozensets (transaction results and
+predictions speak in sets); :func:`mask_set` interns one frozenset per
+mask, so the per-miss target queries do not allocate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 
 _EMPTY_SET: frozenset = frozenset()
 
-#: Singleton frozensets for every plausible responder id, so
-#: ``minimal_read_targets`` — called once per read/write miss — does not
-#: allocate a fresh one-element set each time.
-_SINGLETONS = tuple(frozenset((node,)) for node in range(256))
+#: Interned frozenset per presence mask (see :func:`mask_set`).  One
+#: table serves every directory in the process: each value is an
+#: immutable, pure function of its key.
+_MASK_SETS: dict = {0: _EMPTY_SET}
+
+#: Masks beyond this many distinct ones are converted without interning
+#: (a 16-core machine has at most 65,536 masks; wider machines only
+#: ever see a tiny fraction of theirs).
+_MASK_SETS_CAP = 1 << 16
 
 
-@dataclass(slots=True)
+def mask_cores(mask: int) -> list:
+    """The core ids whose bits are set in ``mask``, ascending."""
+    cores = []
+    while mask:
+        low = mask & -mask
+        cores.append(low.bit_length() - 1)
+        mask ^= low
+    return cores
+
+
+def mask_set(mask: int) -> frozenset:
+    """The interned frozenset of the cores in ``mask``."""
+    cores = _MASK_SETS.get(mask)
+    if cores is None:
+        cores = frozenset(mask_cores(mask))
+        if len(_MASK_SETS) < _MASK_SETS_CAP:
+            _MASK_SETS[mask] = cores
+    return cores
+
+
+def cores_mask(cores) -> int:
+    """The presence mask of an iterable of core ids."""
+    mask = 0
+    for core in cores:
+        mask |= 1 << core
+    return mask
+
+
 class DirectoryEntry:
-    """Sharing state of a single block."""
+    """Sharing state of a single block.
 
-    sharers: set = field(default_factory=set)
-    owner: int | None = None      # holder of M or E, if any
-    forwarder: int | None = None  # holder of F, if any
-    dirty: bool = False           # owner's copy is Modified
+    ``mask`` is the presence vector; ``sharers`` is a read-only
+    frozenset view of it for callers that want set semantics.
+    """
+
+    __slots__ = ("mask", "owner", "forwarder", "dirty")
+
+    def __init__(
+        self,
+        sharers=(),
+        owner: int | None = None,      # holder of M or E, if any
+        forwarder: int | None = None,  # holder of F, if any
+        dirty: bool = False,           # owner's copy is Modified
+    ) -> None:
+        self.mask = cores_mask(sharers) if sharers else 0
+        self.owner = owner
+        self.forwarder = forwarder
+        self.dirty = dirty
+
+    def __repr__(self) -> str:
+        return (
+            f"DirectoryEntry(sharers={mask_cores(self.mask)}, "
+            f"owner={self.owner}, forwarder={self.forwarder}, "
+            f"dirty={self.dirty})"
+        )
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not DirectoryEntry:
+            return NotImplemented
+        return (
+            self.mask == other.mask and self.owner == other.owner
+            and self.forwarder == other.forwarder
+            and self.dirty == other.dirty
+        )
+
+    __hash__ = None
+
+    @property
+    def sharers(self) -> frozenset:
+        return mask_set(self.mask)
 
     @property
     def cached_anywhere(self) -> bool:
-        return bool(self.sharers)
+        return self.mask != 0
 
     @property
     def responder(self) -> int | None:
@@ -49,9 +119,7 @@ class DirectoryEntry:
             resp = self.forwarder
             if resp is None:
                 return _EMPTY_SET
-        if resp < 256:
-            return _SINGLETONS[resp]
-        return frozenset((resp,))
+        return mask_set(1 << resp)
 
     def minimal_write_targets(self, requester: int) -> frozenset:
         """Caches that must be contacted to grant exclusive ownership.
@@ -60,18 +128,11 @@ class DirectoryEntry:
         forward its data), so the minimal set is every sharer but the
         requester itself.
         """
-        sharers = self.sharers
-        if not sharers:
-            return _EMPTY_SET
-        if requester in sharers:
-            if len(sharers) == 1:
-                return _EMPTY_SET
-            return frozenset(sharers - {requester})
-        return frozenset(sharers)
+        return mask_set(self.mask & ~(1 << requester))
 
 
 #: The entry ``peek`` hands out for uncached blocks; never mutated.
-_EMPTY_ENTRY = DirectoryEntry()
+EMPTY_ENTRY = DirectoryEntry()
 
 
 class Directory:
@@ -107,7 +168,7 @@ class Directory:
         allocation showed up in profiles.
         """
         ent = self._entries.get(block)
-        return ent if ent is not None else _EMPTY_ENTRY
+        return ent if ent is not None else EMPTY_ENTRY
 
     # -- state transitions driven by the protocol -------------------------
 
@@ -118,7 +179,7 @@ class Directory:
         again (the protocol accounts the writeback message).
         """
         ent = self.entry(block)
-        ent.sharers.add(requester)
+        ent.mask |= 1 << requester
         ent.owner = None
         ent.dirty = False
         ent.forwarder = requester
@@ -127,12 +188,7 @@ class Directory:
         """Requester became the sole owner (read miss with no sharers, or
         any write miss / upgrade)."""
         ent = self.entry(block)
-        # Reuse the entry's set (every consumer copies before exposing it);
-        # this fill runs once per write/cold-read miss.
-        sharers = ent.sharers
-        if sharers:
-            sharers.clear()
-        sharers.add(requester)
+        ent.mask = 1 << requester
         ent.owner = requester
         ent.forwarder = None
         ent.dirty = dirty
@@ -142,13 +198,13 @@ class Directory:
         ent = self._entries.get(block)
         if ent is None:
             return
-        ent.sharers.discard(core)
+        ent.mask &= ~(1 << core)
         if ent.owner == core:
             ent.owner = None
             ent.dirty = False
         if ent.forwarder == core:
             ent.forwarder = None
-        if not ent.sharers:
+        if not ent.mask:
             del self._entries[block]
 
     def record_store_upgrade(self, block: int, core: int) -> None:
@@ -167,13 +223,13 @@ class Directory:
         """
         return {
             block: {
-                "sharers": sorted(ent.sharers),
+                "sharers": mask_cores(ent.mask),
                 "owner": ent.owner,
                 "forwarder": ent.forwarder,
                 "dirty": ent.dirty,
             }
             for block, ent in self._entries.items()
-            if ent.sharers
+            if ent.mask
         }
 
     # -- hardware-precision hooks (overridden by limited-pointer orgs) --

@@ -19,7 +19,7 @@ SP-prediction can be studied:
   directory gets cheaper, which quantifies how much SP-prediction's
   benefit depends on directory precision.
 
-The class keeps the base :class:`Directory`'s exact sharer sets as the
+The class keeps the base :class:`Directory`'s exact sharer masks as the
 model's ground truth (the protocol still needs to know which caches to
 actually invalidate); the pointer bound only limits what the *hardware
 would know*, exposed through :meth:`can_verify` and
@@ -28,7 +28,7 @@ would know*, exposed through :meth:`can_verify` and
 
 from __future__ import annotations
 
-from repro.coherence.directory import Directory
+from repro.coherence.directory import Directory, mask_set
 
 
 class LimitedPointerDirectory(Directory):
@@ -39,7 +39,8 @@ class LimitedPointerDirectory(Directory):
         if pointers < 1:
             raise ValueError("need at least one sharer pointer")
         self.pointers = pointers
-        #: block -> set of tracked sharers, or None once overflowed.
+        #: block -> presence mask of the tracked sharers, or None once
+        #: overflowed.
         self._tracked: dict = {}
         self.overflows = 0
 
@@ -47,7 +48,8 @@ class LimitedPointerDirectory(Directory):
 
     def tracked_sharers(self, block: int):
         """The sharers the hardware knows, or None when coarse."""
-        return self._tracked.get(block, set())
+        tracked = self._tracked.get(block, 0)
+        return None if tracked is None else mask_set(tracked)
 
     def is_coarse(self, block: int) -> bool:
         return block in self._tracked and self._tracked[block] is None
@@ -58,22 +60,20 @@ class LimitedPointerDirectory(Directory):
 
     def invalidation_fanout(self, block: int, requester: int) -> frozenset:
         """Cores the hardware must send invalidations to."""
-        tracked = self._tracked.get(block)
-        if tracked is None and block in self._tracked:
+        tracked = self._tracked.get(block, 0)
+        if tracked is None:
             # Coarse: invalidate everyone (Dir-P broadcast fallback).
-            return frozenset(range(self.num_nodes)) - {requester}
-        precise = tracked or set()
-        return frozenset(precise) - {requester}
+            tracked = (1 << self.num_nodes) - 1
+        return mask_set(tracked & ~(1 << requester))
 
     # -- state transitions (mirror the base class, bounding pointers) ---
 
     def _track_add(self, block: int, core: int) -> None:
-        tracked = self._tracked.get(block, set())
+        tracked = self._tracked.get(block, 0)
         if tracked is None:
             return  # already coarse
-        tracked = set(tracked)
-        tracked.add(core)
-        if len(tracked) > self.pointers:
+        tracked |= 1 << core
+        if tracked.bit_count() > self.pointers:
             self._tracked[block] = None
             self.overflows += 1
         else:
@@ -86,16 +86,16 @@ class LimitedPointerDirectory(Directory):
     def record_exclusive_fill(self, block: int, requester: int, dirty: bool) -> None:
         super().record_exclusive_fill(block, requester, dirty)
         # Exclusive ownership resets the entry to one precise pointer.
-        self._tracked[block] = {requester}
+        self._tracked[block] = 1 << requester
 
     def record_eviction(self, block: int, core: int, *, was_dirty: bool) -> None:
         super().record_eviction(block, core, was_dirty=was_dirty)
-        if not self.peek(block).sharers:
+        if not self.peek(block).mask:
             self._tracked.pop(block, None)
             return
         tracked = self._tracked.get(block)
-        if tracked is not None and tracked:
-            tracked.discard(core)
+        if tracked:
+            self._tracked[block] = tracked & ~(1 << core)
 
     def coarse_entries(self) -> int:
         return sum(1 for v in self._tracked.values() if v is None)

@@ -693,10 +693,7 @@ class DirectoryProtocol:
 
     def _finish_read_fill(self, core, block, entry) -> None:
         """Install the line at the requester after a read miss."""
-        sharers = entry.sharers
-        had_other_copies = bool(sharers) and (
-            len(sharers) > 1 or core not in sharers
-        )
+        had_other_copies = entry.mask & ~(1 << core)
         if entry.responder is not None and entry.responder != core:
             # The previous responder's copy degrades to plain Shared.
             resp = entry.responder

@@ -156,7 +156,7 @@ class BroadcastProtocol:
         return frozenset(minimal)
 
     def _finish_read_fill(self, core, block, entry) -> None:
-        had_other_copies = bool(entry.sharers - {core})
+        had_other_copies = entry.mask & ~(1 << core)
         if entry.responder is not None and entry.responder != core:
             resp = entry.responder
             if self.hierarchies[resp].peek_state(block) is not Mesif.INVALID:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.coherence.directory import cores_mask, mask_cores
 from repro.coherence.states import Mesif
 
 
@@ -175,14 +176,14 @@ class CoherenceVerifier:
 
         found = []
 
-        if set(holders) != entry.sharers:
+        if cores_mask(holders) != entry.mask:
             found.append(ViolationRecord(
                 rule=RULE_DIR_CACHE_MISMATCH,
                 block=block,
                 transaction=tx,
                 expected=(
-                    f"directory sharers ({_cores(entry.sharers)}) to match "
-                    "the caches holding a valid copy"
+                    f"directory sharers ({_cores(mask_cores(entry.mask))}) "
+                    "to match the caches holding a valid copy"
                 ),
                 actual=_holders_desc(holders),
             ))

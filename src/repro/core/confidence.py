@@ -35,10 +35,14 @@ class ConfidenceCounter:
         self.value = self.max_value
 
     def record(self, correct: bool) -> None:
+        # Runs once per trained prediction: plain int compares against
+        # the ceiling, no property lookup or min/max call.
+        value = self.value
         if correct:
-            self.value = min(self.max_value, self.value + 1)
-        else:
-            self.value = max(0, self.value - 1)
+            if value < (1 << self.bits) - 1:
+                self.value = value + 1
+        elif value:
+            self.value = value - 1
 
     @property
     def exhausted(self) -> bool:

@@ -13,6 +13,9 @@ from dataclasses import dataclass, field
 
 #: A communication signature: the set of hot target cores.  Stored and
 #: combined as a frozenset; hardware would hold it as an N-bit vector.
+#: The directory already keeps its sharers in that form (an int
+#: presence mask per entry, ``DirectoryEntry.mask``); signatures and the
+#: predicted sets built from them do not yet.
 Signature = frozenset
 
 #: Hot-set extraction threshold used throughout the paper (Section 3.3).

@@ -31,6 +31,7 @@ from bisect import bisect_left, bisect_right
 
 from repro.cache.hierarchy import AccessKind, HierarchyOutcome, PrivateHierarchy
 from repro.coherence import make_directory, make_protocol
+from repro.coherence.directory import EMPTY_ENTRY
 from repro.coherence.protocol import MissKind
 from repro.coherence.states import Mesif
 from repro.core.signatures import DEFAULT_HOT_THRESHOLD
@@ -1084,7 +1085,6 @@ class SimulationEngine:
             proto = self.protocol
             directory = proto.directory
             entries_get = directory._entries.get
-            dir_peek = directory.peek
             finish_read = proto._finish_read_fill
             finish_write = proto._finish_write_fill
             apply_inv = proto._apply_write_invalidations
@@ -1095,8 +1095,7 @@ class SimulationEngine:
             tracked_get = tracked.get if tracked is not None else None
             absent = tx_memo.absent
             coarse = tx_memo.coarse
-            empty_frozen = frozenset()
-            empty_fp = (None, None, False, empty_frozen)
+            empty_entry = EMPTY_ENTRY
             memo_get = tx_memo.memo.get
             record = tx_memo._record
             net_stats = tx_memo.stats
@@ -1175,26 +1174,22 @@ class SimulationEngine:
                         )
                     else:
                         prediction = targets = None
-                    entry = entries_get(block)
-                    if entry is None:
-                        fp = empty_fp
-                    else:
-                        sharers = entry.sharers
-                        fp = (
-                            entry.owner, entry.forwarder, entry.dirty,
-                            frozenset(sharers) if sharers
-                            else empty_frozen,
-                        )
+                    # The memo key, built exactly as _TxMemo._key does.
+                    entry = entries_get(block, empty_entry)
                     if tracked_get is None:
-                        key = (kc, core, block % num_nodes, targets, fp)
+                        key = (
+                            kc, core, block % num_nodes, targets,
+                            entry.owner, entry.forwarder, entry.dirty,
+                            entry.mask,
+                        )
                     else:
                         t = tracked_get(block, absent)
                         if t is None:
                             t = coarse
-                        elif t is not absent:
-                            t = frozenset(t)
                         key = (
-                            kc, core, block % num_nodes, targets, fp, t
+                            kc, core, block % num_nodes, targets,
+                            entry.owner, entry.forwarder, entry.dirty,
+                            entry.mask, t,
                         )
                     row = memo_get(key)
                     if row is None:
@@ -1290,7 +1285,7 @@ class SimulationEngine:
                         # Live mutation tail — the protocol's own
                         # finishing statements per flow kind (_TxMemo).
                         if kc == 0:
-                            finish_read(core, block, dir_peek(block))
+                            finish_read(core, block, entry)
                         elif kc == 1:
                             apply_inv(core, block, minimal)
                             finish_write(core, block)

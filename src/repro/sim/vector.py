@@ -113,14 +113,13 @@ _SCRATCH_ASSOC = 1 << 12
 _WINDOW_MIN = 6
 
 #: Warm-transaction memo capacity; cleared wholesale when full (the
-#: working set of distinct (kind, core, home, predicted, fingerprint)
+#: working set of distinct (kind, core, home, predicted, directory state)
 #: classes is orders of magnitude smaller on every known workload).
 _MEMO_CAP = 1 << 16
 
 _UNSET = object()
 _ABSENT = object()
 _COARSE = object()
-_EMPTY_FROZEN: frozenset = frozenset()
 
 
 class _ClassConst:
@@ -298,13 +297,13 @@ class _TxMemo:
     plain full-map backend (and its limited-pointer directory variant)
     the *accounting* side of a transaction — latency, NoC traffic,
     snoop lookups, and every ``TransactionResult`` field — is a pure
-    function of ``(kind, core, home, predicted set, fingerprint)``,
-    where the fingerprint captures everything the flow reads from the
-    directory: owner, forwarder, dirty bit, the sharer set, and (for
-    limited-pointer organizations) the tracked-pointer state that feeds
-    ``can_verify`` / ``invalidation_fanout``.  The home tile stands in
-    for the block itself: two blocks with the same home and the same
-    fingerprint are indistinguishable to the accounting arithmetic.
+    function of the flat key ``(kind, core, home, predicted set, owner,
+    forwarder, dirty, sharer mask)``: everything the flow reads from the
+    directory.  Limited-pointer organizations append the tracked-pointer
+    state that feeds ``can_verify`` / ``invalidation_fanout`` (the
+    tracked mask, or the absent/coarse sentinel).  The home tile stands
+    in for the block itself: two blocks with the same home and the same
+    directory state are indistinguishable to the accounting arithmetic.
 
     The first occurrence of a class runs the real protocol method with
     ``_handle_victim`` shadowed (victims are collected and processed
@@ -352,20 +351,19 @@ class _TxMemo:
 
     def _key(self, kind, core, block, predicted):
         entry = self.directory.peek(block)
-        sharers = entry.sharers
-        fp = (
-            entry.owner, entry.forwarder, entry.dirty,
-            frozenset(sharers) if sharers else _EMPTY_FROZEN,
-        )
         tracked = self.tracked
         if tracked is None:
-            return (kind, core, block % self.num_nodes, predicted, fp)
+            return (
+                kind, core, block % self.num_nodes, predicted,
+                entry.owner, entry.forwarder, entry.dirty, entry.mask,
+            )
         t = tracked.get(block, _ABSENT)
         if t is None:
             t = _COARSE
-        elif t is not _ABSENT:
-            t = frozenset(t)
-        return (kind, core, block % self.num_nodes, predicted, fp, t)
+        return (
+            kind, core, block % self.num_nodes, predicted,
+            entry.owner, entry.forwarder, entry.dirty, entry.mask, t,
+        )
 
     def read_miss(self, core, block, predicted=None):
         key = self._key(0, core, block, predicted)
@@ -411,7 +409,7 @@ class _TxMemo:
         total0 = stats.bytes_total
         links0 = stats.byte_links
         routers0 = stats.byte_routers
-        cats0 = dict(by_cat)
+        cats0 = by_cat.copy()
         snoops0 = proto.snoop_lookups
         try:
             if kind == 0:
@@ -422,6 +420,11 @@ class _TxMemo:
                 tx = proto.upgrade_miss(core, block, predicted)
         finally:
             del proto._handle_victim
+        cats = []
+        for cat, val in by_cat.items():
+            delta = val - cats0.get(cat, 0)
+            if delta:
+                cats.append((cat, delta))
         memo = self.memo
         if len(memo) >= _MEMO_CAP:
             memo.clear()
@@ -434,11 +437,7 @@ class _TxMemo:
             stats.bytes_total - total0,
             stats.byte_links - links0,
             stats.byte_routers - routers0,
-            tuple(
-                (cat, val - cats0.get(cat, 0))
-                for cat, val in by_cat.items()
-                if val != cats0.get(cat, 0)
-            ),
+            tuple(cats),
             proto.snoop_lookups - snoops0,
             None,
         ]
